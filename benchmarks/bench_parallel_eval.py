@@ -36,9 +36,10 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.circuits import compile_circuit
 from repro.circuits import parallel
-from repro.circuits.compiled import numpy_module
 from repro.core import build_lineage
 from repro.queries import atom, cq, variables
 from repro.workloads import rst_chain_tid
@@ -63,7 +64,7 @@ def build_compiled():
     return compile_circuit(lineage.circuit), tid.event_space()
 
 
-def baseline_monte_carlo(np, compiled, probs, samples: int, seed: int) -> int:
+def baseline_monte_carlo(compiled, probs, samples: int, seed: int) -> int:
     """PR 2's single-process numpy batch kernel, verbatim: the reference."""
     rng = np.random.default_rng(seed)
     chunk = 1 << 14
@@ -87,12 +88,7 @@ def _timed(fn, repeats: int = 3):
 
 
 def main() -> None:
-    np = numpy_module()
     print("E14 — sharded multi-process vs single-process batch evaluation")
-    if np is None:
-        print("numpy unavailable: the sharded backend needs the batch kernels;"
-              " nothing to measure")
-        return
     cpu_count = os.cpu_count() or 1
     compiled, space = build_compiled()
     probs = np.asarray([space.probability(n) for n in compiled.variables()])
@@ -102,7 +98,7 @@ def main() -> None:
     compiled.evaluate_batch(np.zeros((4, probs.size), dtype=bool))  # warm plan
 
     baseline_seconds, baseline_hits = _timed(
-        lambda: baseline_monte_carlo(np, compiled, probs, MC_SAMPLES, SEED)
+        lambda: baseline_monte_carlo(compiled, probs, MC_SAMPLES, SEED)
     )
     rows = [("single-process numpy kernel", baseline_seconds, 1.0, baseline_hits)]
 

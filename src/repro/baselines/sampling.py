@@ -5,9 +5,9 @@ evaluation is #P-hard ("makes it necessary in practice to approximate query
 results via sampling"), and as the partner of the exact method in the
 partial-decomposition hybrid (E12).
 
-Execution model — three tiers, picked automatically per install:
+Execution model — two tiers, picked by the ``workers`` knob:
 
-- **numpy + workers**: both estimators run the *fused sample+evaluate*
+- **workers**: both estimators run the *fused sample+evaluate*
   shards of :mod:`repro.circuits.parallel` — the sample range is cut into
   fixed :data:`~repro.circuits.parallel.MC_SHARD`-sized shards, each shard
   draws its own worlds from ``default_rng((seed, shard_index))`` inside a
@@ -15,11 +15,9 @@ Execution model — three tiers, picked automatically per install:
   level-scheduled batch kernels (Monte Carlo) or one containment matrix
   product (Karp–Luby), and returns a single hit count. The full world
   matrix never exists in any process.
-- **numpy, serial**: the same shards run in-process. Because the shard
+- **serial**: the same shards run in-process. Because the shard
   decomposition and seeding are independent of the worker count, a fixed
   seed gives *bit-identical* estimates at 0, 1, 2 or 8 workers.
-- **no numpy**: the scalar per-sample loops run instead, with identical
-  estimator semantics (different random streams, same guarantees).
 
 ``workers=None`` defers to the process-wide knob
 (:func:`repro.circuits.parallel.parallel_workers`, settable via
@@ -36,10 +34,11 @@ from __future__ import annotations
 
 import math
 
-from repro.circuits.compiled import numpy_module
+import numpy as np
+
 from repro.instances.base import Fact, Instance
 from repro.instances.tid import TIDInstance
-from repro.util import check, stable_rng
+from repro.util import check
 
 #: Cap on sampled worlds held in memory at once by the scalar-era vectorized
 #: paths; kept for backward compatibility — the fused paths shard by
@@ -63,13 +62,13 @@ def monte_carlo_probability(
 
     With ``method="lineage"`` (the default) the query's lineage circuit is
     built and compiled *once* and the sampled worlds are evaluated in bulk
-    over the flat IR — with numpy, through the fused sample+evaluate shards
-    of :func:`repro.circuits.parallel.monte_carlo_hits` (on ``workers``
+    over the flat IR, through the fused sample+evaluate shards of
+    :func:`repro.circuits.parallel.monte_carlo_hits` (on ``workers``
     processes when >= 2, in-process otherwise, bit-identical either way) —
     or, when ``hosts`` (or the process-wide ``distributed_hosts`` knob)
     names remote workers, the same shards stream over TCP through
     :func:`repro.circuits.distributed.monte_carlo_hits`, still
-    bit-identical; without numpy, one generated-kernel call per world.
+    bit-identical.
     ``method="worlds"`` keeps the original per-world ``query.holds_in``
     evaluation (works for any query object, including those without
     lineage support).
@@ -88,23 +87,12 @@ def monte_carlo_probability(
     compiled = build_lineage(tid.instance, query).compiled()
     space = tid.event_space()
     marginals = [space.probability(name) for name in compiled.variables()]
-    if numpy_module() is not None:
-        from repro.circuits import distributed
+    from repro.circuits import distributed
 
-        hits = distributed.monte_carlo_hits(
-            compiled, marginals, samples, seed=seed, hosts=hosts, workers=workers
-        )
-        return hits / samples
-    rng = stable_rng(seed)
-    row = [0] * len(marginals)
-
-    def worlds():
-        for _ in range(samples):
-            for i, p in enumerate(marginals):
-                row[i] = rng.random() < p
-            yield row
-
-    return sum(compiled.evaluate_batch(worlds())) / samples
+    hits = distributed.monte_carlo_hits(
+        compiled, marginals, samples, seed=seed, hosts=hosts, workers=workers
+    )
+    return hits / samples
 
 
 def required_samples(epsilon: float, delta: float) -> int:
@@ -129,8 +117,7 @@ def karp_luby_probability(
     is bounded even for tiny probabilities — the classic FPRAS for DNF.
 
     A sample counts iff its drawn witness is the *first* witness fully
-    contained in the sampled world. With numpy the trials run as the fused
-    shards of :func:`repro.circuits.parallel.karp_luby_hits` — witness
+    contained in the sampled world. The trials run as the fused shards of :func:`repro.circuits.parallel.karp_luby_hits` — witness
     picks, conditioned worlds and the containment matrix product all happen
     inside the shard (a worker process when ``workers >= 2``, a remote host
     when ``hosts`` names one), and a fixed seed gives identical estimates
@@ -150,58 +137,20 @@ def karp_luby_probability(
     if total_weight == 0.0:
         return 0.0
 
+    from repro.circuits import distributed
+
     facts = list(tid.facts())
-    np = numpy_module()
-    if np is not None:
-        from repro.circuits import distributed
-
-        fact_index = {f: i for i, f in enumerate(facts)}
-        probs = np.asarray([tid.probability(f) for f in facts], dtype=np.float64)
-        membership = np.zeros((len(witnesses), len(facts)), dtype=np.int32)
-        for w, witness in enumerate(witnesses):
-            for f in witness:
-                membership[w, fact_index[f]] = 1
-        hits = distributed.karp_luby_hits(
-            membership, probs, weights, samples, seed=seed, hosts=hosts,
-            workers=workers,
-        )
-    else:
-        hits = _karp_luby_hits_scalar(
-            witnesses, weights, total_weight, facts, tid, samples, seed
-        )
+    fact_index = {f: i for i, f in enumerate(facts)}
+    probs = np.asarray([tid.probability(f) for f in facts], dtype=np.float64)
+    membership = np.zeros((len(witnesses), len(facts)), dtype=np.int32)
+    for w, witness in enumerate(witnesses):
+        for f in witness:
+            membership[w, fact_index[f]] = 1
+    hits = distributed.karp_luby_hits(
+        membership, probs, weights, samples, seed=seed, hosts=hosts,
+        workers=workers,
+    )
     return total_weight * hits / samples
-
-
-def _karp_luby_hits_scalar(
-    witnesses, weights, total_weight, facts, tid, samples: int, seed: int
-) -> int:
-    """The per-sample loop of the Karp–Luby trial (numpy-free fallback)."""
-    rng = stable_rng(seed)
-    probabilities = {f: tid.probability(f) for f in facts}
-    hits = 0
-    for _ in range(samples):
-        # Pick a witness with probability proportional to its weight.
-        target = rng.random() * total_weight
-        cumulative = 0.0
-        chosen = len(witnesses) - 1
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if target <= cumulative:
-                chosen = index
-                break
-        witness = witnesses[chosen]
-        # Sample the remaining facts conditioned on the witness being present.
-        world = set(witness)
-        for f in facts:
-            if f not in world and rng.random() < probabilities[f]:
-                world.add(f)
-        # Count only if ``chosen`` is the first witness fully contained.
-        for index, other in enumerate(witnesses):
-            if all(f in world for f in other):
-                if index == chosen:
-                    hits += 1
-                break
-    return hits
 
 
 def _dnf_witnesses(query, tid: TIDInstance) -> list[frozenset[Fact]]:

@@ -25,22 +25,25 @@ once, and :meth:`CompiledCircuit.probability_enumerate` for the
 brute-force oracle.
 
 **Batch evaluation** adds a third lowering stage on top of the flat IR.
-When numpy is importable (:func:`numpy_available`), the topologically
-sorted gates are grouped into *levels* — every gate's inputs live in
-strictly earlier levels — and the CSR arrays are materialized as ``int32``
-numpy buffers. A batch of worlds is a ``(n_worlds, n_vars)`` matrix; the
-value buffer is gate-major (one row per gate, one column per world) and
-each level evaluates in a handful of vectorized operations: NOT is a
-whole-block negation, and the AND/OR gates of one fan-in are gathered as a
-``(fan_in, count, n_worlds)`` stack and collapsed with one
-``np.logical_and.reduce`` / ``np.logical_or.reduce`` (``np.multiply`` /
-``np.add`` in the float pass of
+The topologically sorted gates are grouped into *levels* — every gate's
+inputs live in strictly earlier levels — and the CSR arrays are
+materialized as ``int32`` numpy buffers. A batch of worlds is a
+``(n_worlds, n_vars)`` matrix; the value buffer is gate-major (one row per
+gate, one column per world) and each level evaluates in a handful of
+vectorized operations: NOT is a whole-block negation, and the AND/OR gates
+of one fan-in are gathered as a ``(fan_in, count, n_worlds)`` stack and
+collapsed with one ``np.logical_and.reduce`` / ``np.logical_or.reduce``
+(``np.multiply`` / ``np.add`` in the float pass of
 :meth:`~CompiledCircuit.probability_batch`). Thousands of sampled worlds
 are evaluated per pass instead of one kernel call per world; batches are
 chunked so the value buffer stays within :data:`BATCH_BYTE_BUDGET` bytes.
-Without numpy every batch entry point falls back to the scalar generated
-kernels (or, above :data:`CODEGEN_GATE_LIMIT`, the array interpreter) —
-same results, one world at a time.
+
+A compiled circuit therefore has exactly two evaluators: the generated
+kernel, for one row (:meth:`~CompiledCircuit.evaluate`,
+:meth:`~CompiledCircuit.probability`) at or below
+:data:`CODEGEN_GATE_LIMIT` gates, and the level-scheduled batch plan for
+everything else — every batch entry point, and single rows above the
+limit, which run as a one-row batch pass.
 
 **Sharded multi-process evaluation** is the fourth lowering stage, in
 :mod:`repro.circuits.parallel`: the plan's int32 CSR buffers are published
@@ -67,6 +70,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.circuits.circuit import (
     AND,
     CONST,
@@ -83,26 +88,6 @@ from repro.circuits.circuit import (
 )
 from repro.util import ReproError, check
 
-try:  # capability check: the vectorized batch kernels need numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
-
-def numpy_available() -> bool:
-    """Whether the level-scheduled numpy batch kernels are active."""
-    return _np is not None
-
-
-def numpy_module():
-    """The numpy module the batch kernels use, or ``None`` without numpy.
-
-    Consumers that build their own world matrices (sampling baselines,
-    benchmarks) go through this accessor so the capability check stays in
-    one place and tests can disable the vectorized path by monkeypatching
-    ``repro.circuits.compiled._np``.
-    """
-    return _np
 
 # Gate kind codes of the flat IR (defined on the arena in ``circuit.py``,
 # which maintains them incrementally; re-exported here for compatibility).
@@ -114,18 +99,18 @@ KIND_NAMES = ("false", "true", "var", "not", "and", "or")
 ENUMERATION_VARIABLE_CAP = 26
 
 #: Above this gate count the specialized Python kernels are not generated
-#: (source-compile time would dominate) and the generic array interpreter
-#: runs instead.
+#: (source-compile time would dominate); single rows then run as a one-row
+#: pass of the level-scheduled batch plan.
 CODEGEN_GATE_LIMIT = 200_000
 
 #: Per-chunk cap on the ``(n_worlds, size)`` value buffer of the numpy
 #: batch kernels, in bytes; larger batches are processed in slices.
 BATCH_BYTE_BUDGET = 1 << 25
 
-#: Below this gate count lowering stays on the plain Python passes even
-#: with numpy available — per-call array overhead beats them on tiny
-#: circuits, and the Python path is the reference the vectorized one is
-#: pinned against.
+#: Below this gate count lowering, level scheduling and plan validation
+#: stay on the plain Python passes — per-call array overhead beats them on
+#: tiny circuits, and the Python path is the reference the vectorized one
+#: is pinned against.
 VECTOR_MIN_GATES = 512
 
 #: Iteration bound of the level-synchronous wavefront passes (one
@@ -218,12 +203,12 @@ def _csr_gather(starts, counts):
     """
     total = int(counts.sum())
     if total == 0:
-        return _np.empty(0, dtype=_np.int64)
-    cum = _np.cumsum(counts)
-    shift = _np.repeat(
-        starts.astype(_np.int64) - _np.concatenate(([0], cum[:-1])), counts
+        return np.empty(0, dtype=np.int64)
+    cum = np.cumsum(counts)
+    shift = np.repeat(
+        starts.astype(np.int64) - np.concatenate(([0], cum[:-1])), counts
     )
-    return shift + _np.arange(total, dtype=_np.int64)
+    return shift + np.arange(total, dtype=np.int64)
 
 
 def _levels_np(kinds, offsets, indices):
@@ -238,13 +223,13 @@ def _levels_np(kinds, offsets, indices):
     size = kinds.shape[0]
     lengths = offsets[1:] - offsets[:-1]
     # Parent CSR (who consumes each gate), built by one stable argsort.
-    owners = _np.repeat(_np.arange(size, dtype=_np.int32), lengths)
-    parents_sorted = owners[_np.argsort(indices, kind="stable")]
-    parent_counts = _np.bincount(indices, minlength=size)
-    parent_offsets = _np.concatenate(([0], _np.cumsum(parent_counts)))
-    depth = _np.zeros(size, dtype=_np.int32)
+    owners = np.repeat(np.arange(size, dtype=np.int32), lengths)
+    parents_sorted = owners[np.argsort(indices, kind="stable")]
+    parent_counts = np.bincount(indices, minlength=size)
+    parent_offsets = np.concatenate(([0], np.cumsum(parent_counts)))
+    depth = np.zeros(size, dtype=np.int32)
     remaining = lengths.copy()
-    frontier = _np.flatnonzero(lengths == 0)
+    frontier = np.flatnonzero(lengths == 0)
     level = 0
     while frontier.size:
         level += 1
@@ -255,12 +240,13 @@ def _levels_np(kinds, offsets, indices):
         ]
         if touched.size == 0:
             break
-        hits = _np.bincount(touched, minlength=size)
+        hits = np.bincount(touched, minlength=size)
         remaining -= hits
-        frontier = _np.flatnonzero((hits > 0) & (remaining == 0))
+        frontier = np.flatnonzero((hits > 0) & (remaining == 0))
         depth[frontier] = level
-    # Degenerate zero-input op gates (impossible from a Circuit, legal in a
-    # hand-built CSR) sit at level 1, matching the Python pass.
+    # Degenerate zero-input AND/OR gates (impossible from a Circuit, legal
+    # in a hand-built CSR; NOT fan-in is pinned to one by
+    # check_plan_arrays) sit at level 1, matching the Python pass.
     nonleaf_empty = (kinds >= K_NOT) & (lengths == 0)
     if nonleaf_empty.any():
         depth[nonleaf_empty] = 1
@@ -273,18 +259,23 @@ def gate_levels(kinds, offsets, indices) -> list[int]:
     Variables and constants sit at level 0; every other gate one past its
     deepest input. This is the schedule :class:`_BatchPlan` groups by and
     the one :mod:`repro.circuits.distributed` ships (and re-verifies) in
-    the wire format, so both derive it from this single definition. Large
-    inputs take a vectorized wavefront pass when numpy is available; the
-    Python loop below is the definition both must match.
+    the wire format, so both derive it from this single definition. Inputs
+    of :data:`VECTOR_MIN_GATES` gates or more take a vectorized wavefront
+    pass; :func:`_levels_python` is the definition both must match.
     """
-    if _np is not None and len(kinds) >= VECTOR_MIN_GATES:
+    if len(kinds) >= VECTOR_MIN_GATES:
         arr = _levels_np(
-            _np.asarray(kinds, dtype=_np.int32),
-            _np.asarray(offsets, dtype=_np.int32),
-            _np.asarray(indices, dtype=_np.int32),
+            np.asarray(kinds, dtype=np.int32),
+            np.asarray(offsets, dtype=np.int32),
+            np.asarray(indices, dtype=np.int32),
         )
         if arr is not None:
             return arr.tolist()
+    return _levels_python(kinds, offsets, indices)
+
+
+def _levels_python(kinds, offsets, indices) -> list[int]:
+    """The per-gate definition of :func:`gate_levels` (the reference)."""
     depth = [0] * len(kinds)
     for pos in range(len(kinds)):
         kind = kinds[pos]
@@ -312,23 +303,23 @@ def levels_consistent(kinds, offsets, indices, levels) -> bool:
     size = len(kinds)
     if len(levels) != size:
         return False
-    if _np is not None and size >= VECTOR_MIN_GATES:
-        akinds = _np.asarray(kinds, dtype=_np.int32)
-        aoffsets = _np.asarray(offsets, dtype=_np.int64)
-        aindices = _np.asarray(indices, dtype=_np.int64)
-        alevels = _np.asarray(levels, dtype=_np.int64)
-        # Degenerate zero-input op gates sit at level 1 (the python pass's
-        # ``default=0`` branch); leaves at 0; everything else is checked
-        # against its inputs below.
-        expected = _np.ones(size, dtype=_np.int64)
+    if size >= VECTOR_MIN_GATES:
+        akinds = np.asarray(kinds, dtype=np.int32)
+        aoffsets = np.asarray(offsets, dtype=np.int64)
+        aindices = np.asarray(indices, dtype=np.int64)
+        alevels = np.asarray(levels, dtype=np.int64)
+        # Degenerate zero-input AND/OR gates sit at level 1 (the python
+        # pass's ``default=0`` branch); leaves at 0; everything else is
+        # checked against its inputs below.
+        expected = np.ones(size, dtype=np.int64)
         expected[akinds <= K_VAR] = 0
-        nonempty = _np.flatnonzero(aoffsets[1:] > aoffsets[:-1])
+        nonempty = np.flatnonzero(aoffsets[1:] > aoffsets[:-1])
         if nonempty.size:
             expected[nonempty] = (
-                _np.maximum.reduceat(alevels[aindices], aoffsets[nonempty]) + 1
+                np.maximum.reduceat(alevels[aindices], aoffsets[nonempty]) + 1
             )
-        return bool(_np.array_equal(expected, alevels))
-    return gate_levels(list(kinds), list(offsets), list(indices)) == list(levels)
+        return bool(np.array_equal(expected, alevels))
+    return _levels_python(kinds, offsets, indices) == list(levels)
 
 
 def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
@@ -338,9 +329,10 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
     The shared gatekeeper for plans that arrive from outside this process —
     the wire format and the on-disk plan cache: consistent lengths, an
     in-range output, monotone offsets, known gate kinds, leaf gates without
-    inputs, in-range variable slots, and strictly topological input
-    references (every input position below its gate's). Vectorized when
-    numpy is available; the Python loops below are the same checks.
+    inputs, NOT gates with exactly one input, in-range variable slots, and
+    strictly topological input references (every input position below its
+    gate's). Vectorized from :data:`VECTOR_MIN_GATES` gates up; the Python
+    loops below are the same checks.
     """
     check(size >= 1, "plan has no gates")
     check(
@@ -354,11 +346,11 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
         offsets[0] == 0 and offsets[-1] == len(indices),
         "plan CSR offsets are inconsistent",
     )
-    if _np is not None and size >= VECTOR_MIN_GATES:
-        akinds = _np.asarray(kinds, dtype=_np.int64)
-        aoffsets = _np.asarray(offsets, dtype=_np.int64)
-        aindices = _np.asarray(indices, dtype=_np.int64)
-        avar_slot = _np.asarray(var_slot, dtype=_np.int64)
+    if size >= VECTOR_MIN_GATES:
+        akinds = np.asarray(kinds, dtype=np.int64)
+        aoffsets = np.asarray(offsets, dtype=np.int64)
+        aindices = np.asarray(indices, dtype=np.int64)
+        avar_slot = np.asarray(var_slot, dtype=np.int64)
         lengths = aoffsets[1:] - aoffsets[:-1]
         check(bool((lengths >= 0).all()), "plan CSR offsets are not monotone")
         check(
@@ -370,6 +362,10 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
             bool((lengths[leaf] == 0).all()),
             "plan leaf gate has inputs",
         )
+        check(
+            bool((lengths[akinds == K_NOT] == 1).all()),
+            "plan NOT gate does not have exactly one input",
+        )
         var_mask = akinds == K_VAR
         check(
             bool(
@@ -377,7 +373,7 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
             ),
             "plan variable slot out of range",
         )
-        owners = _np.repeat(_np.arange(size, dtype=_np.int64), lengths)
+        owners = np.repeat(np.arange(size, dtype=np.int64), lengths)
         check(
             bool(((aindices >= 0) & (aindices < owners)).all()),
             "plan gate input does not precede its gate",
@@ -394,6 +390,11 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
             check(
                 offsets[pos] == offsets[pos + 1],
                 "plan leaf gate has inputs",
+            )
+        elif kind == K_NOT:
+            check(
+                offsets[pos + 1] - offsets[pos] == 1,
+                "plan NOT gate does not have exactly one input",
             )
         if kind == K_VAR:
             check(
@@ -472,10 +473,10 @@ class _BatchPlan:
         if arrays is not None:
             kinds, offsets, indices, var_slot = arrays
         else:
-            kinds = _np.asarray(compiled.kinds, dtype=_np.int32)
-            offsets = _np.asarray(compiled.offsets, dtype=_np.int32)
-            indices = _np.asarray(compiled.indices, dtype=_np.int32)
-            var_slot = _np.asarray(compiled.var_slot, dtype=_np.int32)
+            kinds = np.asarray(compiled.kinds, dtype=np.int32)
+            offsets = np.asarray(compiled.offsets, dtype=np.int32)
+            indices = np.asarray(compiled.indices, dtype=np.int32)
+            var_slot = np.asarray(compiled.var_slot, dtype=np.int32)
         self.kinds = kinds
         self.offsets = offsets
         self.indices = indices
@@ -486,44 +487,44 @@ class _BatchPlan:
         depth = None
         lister = getattr(compiled, "levels_list", None)
         if lister is not None:
-            depth = _np.asarray(lister(), dtype=_np.int32)
+            depth = np.asarray(lister(), dtype=np.int32)
         else:
             shipped = getattr(compiled, "levels", None)
             if isinstance(shipped, (list, tuple)):
-                depth = _np.asarray(shipped, dtype=_np.int32)
+                depth = np.asarray(shipped, dtype=np.int32)
         if depth is None:
             if size >= VECTOR_MIN_GATES:
                 depth = _levels_np(kinds, offsets, indices)
             if depth is None:
-                depth = _np.asarray(
+                depth = np.asarray(
                     gate_levels(
                         kinds.tolist(), offsets.tolist(), indices.tolist()
                     ),
-                    dtype=_np.int32,
+                    dtype=np.int32,
                 )
 
         # Renumber: variables, constants, then level by level, group by
         # group — one stable lexsort; ties keep topological order, exactly
         # like the historical per-gate bucketing.
         lengths = offsets[1:] - offsets[:-1]
-        var_positions = _np.flatnonzero(kinds == K_VAR)
-        const_positions = _np.flatnonzero(
+        var_positions = np.flatnonzero(kinds == K_VAR)
+        const_positions = np.flatnonzero(
             (kinds == K_TRUE) | (kinds == K_FALSE)
         )
-        op_positions = _np.flatnonzero(kinds >= K_NOT)
-        order = _np.lexsort(
+        op_positions = np.flatnonzero(kinds >= K_NOT)
+        order = np.lexsort(
             (lengths[op_positions], kinds[op_positions], depth[op_positions])
         )
         sorted_ops = op_positions[order]
         n_vars = var_positions.size
         n_consts = const_positions.size
         leaf_rows = n_vars + n_consts
-        row_of = _np.empty(size, dtype=_np.intp)
-        row_of[var_positions] = _np.arange(n_vars)
-        row_of[const_positions] = n_vars + _np.arange(n_consts)
-        row_of[sorted_ops] = leaf_rows + _np.arange(sorted_ops.size)
+        row_of = np.empty(size, dtype=np.intp)
+        row_of[var_positions] = np.arange(n_vars)
+        row_of[const_positions] = n_vars + np.arange(n_consts)
+        row_of[sorted_ops] = leaf_rows + np.arange(sorted_ops.size)
         self.row_of = row_of
-        self.var_slots = var_slot[var_positions].astype(_np.intp)
+        self.var_slots = var_slot[var_positions].astype(np.intp)
         self.const_rows = (int(n_vars), int(leaf_rows))
         self.const_values = kinds[const_positions] == K_TRUE
 
@@ -534,18 +535,18 @@ class _BatchPlan:
         op_fan = lengths[sorted_ops]
         if sorted_ops.size:
             cuts = (
-                _np.flatnonzero(
+                np.flatnonzero(
                     (op_depth[1:] != op_depth[:-1])
                     | (op_kind[1:] != op_kind[:-1])
                     | (op_fan[1:] != op_fan[:-1])
                 )
                 + 1
             )
-            starts = _np.concatenate(([0], cuts))
-            ends = _np.concatenate((cuts, [sorted_ops.size]))
+            starts = np.concatenate(([0], cuts))
+            ends = np.concatenate((cuts, [sorted_ops.size]))
             n_levels = int(op_depth[-1])
         else:
-            starts = ends = _np.empty(0, dtype=_np.intp)
+            starts = ends = np.empty(0, dtype=np.intp)
             n_levels = 0
         buckets: list[list[_GroupOp]] = [[] for _ in range(n_levels)]
         for start, end in zip(starts.tolist(), ends.tolist()):
@@ -557,7 +558,7 @@ class _BatchPlan:
             else:
                 # gather[j, i] = row of the j-th input of the i-th gate
                 fan_in = int(op_fan[start])
-                block = offsets[positions][:, None] + _np.arange(fan_in)
+                block = offsets[positions][:, None] + np.arange(fan_in)
                 gather = row_of[indices[block]].T
             buckets[int(op_depth[start]) - 1].append(_GroupOp(kind, rows, gather))
         self.levels = tuple(tuple(ops) for ops in buckets)
@@ -585,10 +586,10 @@ class _BatchPlan:
             # rows are bitwise identical to each other. Evaluate the row
             # as a width-2 pass (a zero-copy broadcast view) so every
             # batch shape shares one reduction order, and keep element 0.
-            widened = _np.broadcast_to(matrix, (2, matrix.shape[1]))
+            widened = np.broadcast_to(matrix, (2, matrix.shape[1]))
             return self.run(widened, as_float)[:1].copy()
-        values = _np.empty(
-            (self.size, n_worlds), dtype=_np.float64 if as_float else _np.bool_
+        values = np.empty(
+            (self.size, n_worlds), dtype=np.float64 if as_float else np.bool_
         )
         n_vars = self.var_slots.size
         if n_vars:
@@ -596,8 +597,8 @@ class _BatchPlan:
         const_start, const_end = self.const_rows
         if const_end > const_start:
             values[const_start:const_end] = self.const_values[:, None]
-        and_reduce = _np.multiply.reduce if as_float else _np.logical_and.reduce
-        or_reduce = _np.add.reduce if as_float else _np.logical_or.reduce
+        and_reduce = np.multiply.reduce if as_float else np.logical_and.reduce
+        or_reduce = np.add.reduce if as_float else np.logical_or.reduce
         for level in self.levels:
             for op in level:
                 start, end = op.rows
@@ -665,8 +666,7 @@ class CompiledCircuit:
         self._init_lazy()
         self.source = circuit
         lowered = (
-            _np is not None
-            and len(circuit) >= VECTOR_MIN_GATES
+            len(circuit) >= VECTOR_MIN_GATES
             and getattr(circuit, "_kind_codes", None) is not None
             and self._lower_vector(circuit)
         )
@@ -701,7 +701,7 @@ class CompiledCircuit:
         self._wire_digest = None  # content digest of _wire_cache, cached with it
 
     def _lower_python(self, circuit: Circuit) -> None:
-        """The reference per-gate lowering (numpy-free, and small circuits)."""
+        """The reference per-gate lowering (small and very deep circuits)."""
         gate_ids = circuit.reachable_from_output()
         self._gate_ids = tuple(gate_ids)
         position_of: dict[int, int] = {gid: pos for pos, gid in enumerate(gate_ids)}
@@ -761,24 +761,24 @@ class CompiledCircuit:
         wavefront-hostile shapes, i.e. depth beyond :data:`_WAVEFRONT_CAP`.
         """
         n = len(circuit)
-        akinds = _np.frombuffer(circuit._kind_codes, dtype=_np.int8)
-        avar_slots = _np.frombuffer(circuit._var_slots, dtype=_np.int32)
+        akinds = np.frombuffer(circuit._kind_codes, dtype=np.int8)
+        avar_slots = np.frombuffer(circuit._var_slots, dtype=np.int32)
         ainputs = (
-            _np.frombuffer(circuit._inputs_flat, dtype=_np.int32)
+            np.frombuffer(circuit._inputs_flat, dtype=np.int32)
             if len(circuit._inputs_flat)
-            else _np.empty(0, dtype=_np.int32)
+            else np.empty(0, dtype=np.int32)
         )
-        aoffsets = _np.frombuffer(circuit._input_offsets, dtype=_np.int32)
+        aoffsets = np.frombuffer(circuit._input_offsets, dtype=np.int32)
         lengths = aoffsets[1:] - aoffsets[:-1]
-        reach = _np.zeros(n, dtype=_np.bool_)
-        fresh = _np.zeros(n, dtype=_np.bool_)
+        reach = np.zeros(n, dtype=np.bool_)
+        fresh = np.zeros(n, dtype=np.bool_)
         reach[circuit.output] = True
-        frontier = _np.asarray([circuit.output], dtype=_np.int64)
+        frontier = np.asarray([circuit.output], dtype=np.int64)
         rounds = 0
-        cumsum = _np.cumsum
-        repeat = _np.repeat
-        arange = _np.arange
-        flatnonzero = _np.flatnonzero
+        cumsum = np.cumsum
+        repeat = np.repeat
+        arange = np.arange
+        flatnonzero = np.flatnonzero
         while frontier.size:
             rounds += 1
             if rounds > _WAVEFRONT_CAP:
@@ -791,7 +791,7 @@ class CompiledCircuit:
             if total == 0:
                 break
             shift = repeat(aoffsets[frontier] - cum + counts, counts)
-            children = ainputs[shift + arange(total, dtype=_np.int64)]
+            children = ainputs[shift + arange(total, dtype=np.int64)]
             children = children[~reach[children]]
             if children.size == 0:
                 break
@@ -801,20 +801,20 @@ class CompiledCircuit:
             fresh[children] = True
             frontier = flatnonzero(fresh)
             fresh[frontier] = False
-        gate_ids = _np.flatnonzero(reach)
+        gate_ids = np.flatnonzero(reach)
         size = int(gate_ids.size)
-        pos_of = _np.zeros(n, dtype=_np.int32)
-        pos_of[gate_ids] = _np.arange(size, dtype=_np.int32)
-        kinds32 = akinds[gate_ids].astype(_np.int32)
+        pos_of = np.zeros(n, dtype=np.int32)
+        pos_of[gate_ids] = np.arange(size, dtype=np.int32)
+        kinds32 = akinds[gate_ids].astype(np.int32)
         counts = lengths[gate_ids]
-        offsets32 = _np.zeros(size + 1, dtype=_np.int32)
-        _np.cumsum(counts, out=offsets32[1:])
-        indices32 = pos_of[ainputs[_np.repeat(reach, lengths)]]
+        offsets32 = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(counts, out=offsets32[1:])
+        indices32 = pos_of[ainputs[np.repeat(reach, lengths)]]
         var_mask = kinds32 == K_VAR
         arena_slots = avar_slots[gate_ids[var_mask]]  # increasing: see _add
-        slot_rank = _np.full(len(circuit._slot_names), -1, dtype=_np.int32)
-        slot_rank[arena_slots] = _np.arange(arena_slots.size, dtype=_np.int32)
-        var_slot32 = _np.full(size, -1, dtype=_np.int32)
+        slot_rank = np.full(len(circuit._slot_names), -1, dtype=np.int32)
+        slot_rank[arena_slots] = np.arange(arena_slots.size, dtype=np.int32)
+        var_slot32 = np.full(size, -1, dtype=np.int32)
         var_slot32[var_mask] = slot_rank[arena_slots]
         slot_names = circuit._slot_names
         self.size = size
@@ -826,8 +826,8 @@ class CompiledCircuit:
         self.has_negation = bool((kinds32 == K_NOT).any())
         self._gate_ids = gate_ids
         self._np32 = (kinds32, offsets32, indices32, var_slot32)
-        self._levels32 = _np.frombuffer(
-            circuit._gate_levels, dtype=_np.int32
+        self._levels32 = np.frombuffer(
+            circuit._gate_levels, dtype=np.int32
         )[gate_ids]
         return True
 
@@ -853,22 +853,14 @@ class CompiledCircuit:
             levels_consistent(kinds, offsets, indices, levels),
             "cached plan level schedule does not match its CSR arrays",
         )
-        if _np is not None:
-            ids = _np.asarray(gate_ids, dtype=_np.int64)
-            ids_ok = (
-                ids.size == size
-                and bool((ids[1:] > ids[:-1]).all())
-                and 0 <= int(ids[0])
-                and int(ids[-1]) < len(circuit)
-            )
-        else:
-            ids_ok = (
-                len(gate_ids) == size
-                and all(a < b for a, b in zip(gate_ids, gate_ids[1:]))
-                and 0 <= gate_ids[0]
-                and gate_ids[-1] < len(circuit)
-            )
-        check(ids_ok, "cached plan gate ids do not fit the arena")
+        ids = np.asarray(gate_ids, dtype=np.int64)
+        check(
+            ids.size == size
+            and bool((ids[1:] > ids[:-1]).all())
+            and 0 <= int(ids[0])
+            and int(ids[-1]) < len(circuit),
+            "cached plan gate ids do not fit the arena",
+        )
         check(
             gate_ids[output] == circuit.output,
             "cached plan output does not match the arena output",
@@ -882,28 +874,21 @@ class CompiledCircuit:
         compiled.arena_version = circuit.version
         compiled.arena_size = len(circuit)
         # ``tolist`` keeps the elements python ints whatever sequence type
-        # the decoder handed over (ndarray, array.array, list).
+        # the decoder handed over (ndarray or list).
         compiled._gate_ids = tuple(
             gate_ids.tolist() if hasattr(gate_ids, "tolist") else gate_ids
         )
         compiled._levels = (
             levels.tolist() if hasattr(levels, "tolist") else list(levels)
         )
-        if _np is not None:
-            kinds32 = _np.asarray(kinds, dtype=_np.int32)
-            compiled._np32 = (
-                kinds32,
-                _np.asarray(offsets, dtype=_np.int32),
-                _np.asarray(indices, dtype=_np.int32),
-                _np.asarray(var_slot, dtype=_np.int32),
-            )
-            compiled.has_negation = bool((kinds32 == K_NOT).any())
-        else:
-            compiled._kinds = list(kinds)
-            compiled._offsets = list(offsets)
-            compiled._indices = list(indices)
-            compiled._var_slot = list(var_slot)
-            compiled.has_negation = K_NOT in compiled._kinds
+        kinds32 = np.asarray(kinds, dtype=np.int32)
+        compiled._np32 = (
+            kinds32,
+            np.asarray(offsets, dtype=np.int32),
+            np.asarray(indices, dtype=np.int32),
+            np.asarray(var_slot, dtype=np.int32),
+        )
+        compiled.has_negation = bool((kinds32 == K_NOT).any())
         return compiled
 
     # ------------------------------------------------------------------ #
@@ -1067,8 +1052,8 @@ class CompiledCircuit:
         costs plain bytecode instead of an interpreted dispatch loop per
         gate. ``mode`` is ``"bool"`` (0/1 ints, ``&``/``|``/``^``) or
         ``"float"`` (the d-D probability pass: ``*`` at AND, ``+`` at OR).
-        Returns ``None`` above :data:`CODEGEN_GATE_LIMIT`; callers then use
-        the generic array interpreter.
+        Returns ``None`` above :data:`CODEGEN_GATE_LIMIT`; callers then run
+        the row as a one-row pass of the batch plan.
         """
         if self.size > CODEGEN_GATE_LIMIT:
             return None
@@ -1122,10 +1107,8 @@ class CompiledCircuit:
     # ------------------------------------------------------------------ #
     # level-scheduled numpy batch kernels (third lowering stage)
 
-    def batch_plan(self) -> _BatchPlan | None:
-        """The level-scheduled numpy plan, built once; ``None`` without numpy."""
-        if _np is None:
-            return None
+    def batch_plan(self) -> _BatchPlan:
+        """The level-scheduled numpy plan, built once."""
         if self._batch_plan is _UNBUILT:
             self._batch_plan = _BatchPlan(self)
         return self._batch_plan
@@ -1141,7 +1124,7 @@ class CompiledCircuit:
         (:func:`repro.circuits.distributed.plan_to_bytes`) carries the int32
         CSR buffers, the level schedule and the plan metadata, and round-trips
         through :func:`repro.circuits.distributed.plan_from_bytes` on any
-        host — with or without numpy on either side.
+        host.
         """
         from repro.circuits import distributed
 
@@ -1213,101 +1196,55 @@ class CompiledCircuit:
         row buffer are safe.
         """
         n_vars = len(self.var_names)
-        if isinstance(valuations, _np.ndarray) and valuations.ndim == 2:
+        if isinstance(valuations, np.ndarray) and valuations.ndim == 2:
             check(
                 valuations.shape[1] == n_vars,
                 f"world matrix has {valuations.shape[1]} columns for "
                 f"{n_vars} variables",
             )
-            return valuations.astype(_np.bool_, copy=False)
+            return valuations.astype(np.bool_, copy=False)
         rows = [tuple(self.slot_values(v)) for v in valuations]
         if not rows:
-            return _np.empty((0, n_vars), dtype=_np.bool_)
-        return _np.asarray(rows, dtype=_np.bool_)
+            return np.empty((0, n_vars), dtype=np.bool_)
+        return np.asarray(rows, dtype=np.bool_)
 
     # ------------------------------------------------------------------ #
     # Boolean evaluation
 
-    def _evaluate_into(self, buffer: bytearray, slot_values: Sequence) -> int:
-        """One bottom-up pass over the flat arrays; returns the output bit."""
-        kinds = self.kinds
-        offsets = self.offsets
-        indices = self.indices
-        var_slot = self.var_slot
-        for pos in range(self.size):
-            kind = kinds[pos]
-            if kind == K_VAR:
-                value = 1 if slot_values[var_slot[pos]] else 0
-            elif kind == K_AND:
-                value = 1
-                for j in range(offsets[pos], offsets[pos + 1]):
-                    if not buffer[indices[j]]:
-                        value = 0
-                        break
-            elif kind == K_OR:
-                value = 0
-                for j in range(offsets[pos], offsets[pos + 1]):
-                    if buffer[indices[j]]:
-                        value = 1
-                        break
-            elif kind == K_NOT:
-                value = 1 - buffer[indices[offsets[pos]]]
-            else:
-                value = kind  # K_TRUE == 1, K_FALSE == 0
-            buffer[pos] = value
-        return buffer[self.output]
-
     def evaluate(self, valuation) -> bool:
-        """Evaluate the output gate under one valuation."""
+        """Evaluate the output gate under one valuation.
+
+        Runs the generated kernel; above :data:`CODEGEN_GATE_LIMIT` the row
+        is a one-row pass of the batch plan instead.
+        """
         kernel = self._kernel("bool")
         if kernel is not None:
             return bool(kernel(self.slot_values(valuation)))
-        buffer = bytearray(self.size)
-        return bool(self._evaluate_into(buffer, self.slot_values(valuation)))
+        return bool(self._batch_pass(self._as_world_matrix([valuation]), False)[0])
 
     def evaluate_batch(self, valuations: Iterable) -> list[bool]:
         """Evaluate many valuations at once; returns one boolean per world.
 
         ``valuations`` is an iterable of valuations as accepted by
         :meth:`evaluate`, or a ``(n_worlds, n_vars)`` numpy matrix in slot
-        order. With numpy available the whole batch runs through the
-        level-scheduled vectorized kernels (:meth:`batch_plan`), chunked to
-        bound memory — and row-sharded across the worker processes of
+        order. The whole batch runs through the level-scheduled vectorized
+        kernels (:meth:`batch_plan`), chunked to bound memory — and
+        row-sharded across the worker processes of
         :mod:`repro.circuits.parallel` when the ``parallel_workers`` knob
         is set and the batch is big enough, with identical results.
-        Without numpy each world costs one generated-kernel call (or,
-        above the codegen limit, one pass of the array interpreter over a
-        single reusable buffer) — no per-world dict or buffer allocation
-        either way.
         """
-        if _np is not None:
-            matrix = self._as_world_matrix(valuations)
-            n_worlds = matrix.shape[0]
-            if n_worlds == 0:
-                return []
-            _BATCH_STATS["evaluate_passes"] += 1
-            _BATCH_STATS["evaluate_rows"] += n_worlds
-            sharded = self._maybe_sharded(matrix, as_float=False)
-            if sharded is not None:
-                return sharded.tolist()
-            out = _np.empty(n_worlds, dtype=_np.bool_)
-            self.batch_plan().run_into(matrix, out, as_float=False)
-            return out.tolist()
-        kernel = self._kernel("bool")
-        slot_values = self.slot_values
-        if kernel is not None:
-            results = [
-                bool(kernel(slot_values(valuation))) for valuation in valuations
-            ]
-        else:
-            buffer = bytearray(self.size)
-            results = [
-                bool(self._evaluate_into(buffer, slot_values(valuation)))
-                for valuation in valuations
-            ]
+        matrix = self._as_world_matrix(valuations)
+        n_worlds = matrix.shape[0]
+        if n_worlds == 0:
+            return []
         _BATCH_STATS["evaluate_passes"] += 1
-        _BATCH_STATS["evaluate_rows"] += len(results)
-        return results
+        _BATCH_STATS["evaluate_rows"] += n_worlds
+        sharded = self._maybe_sharded(matrix, as_float=False)
+        if sharded is not None:
+            return sharded.tolist()
+        out = np.empty(n_worlds, dtype=np.bool_)
+        self.batch_plan().run_into(matrix, out, as_float=False)
+        return out.tolist()
 
     # ------------------------------------------------------------------ #
     # probability fast paths
@@ -1318,34 +1255,15 @@ class CompiledCircuit:
         One bottom-up float pass: ``P(OR) = Σ``, ``P(AND) = Π``,
         ``P(NOT) = 1 − P``. Correct only on d-D circuits over independent
         variables (Theorem 1); use the ``message_passing`` engine otherwise.
+        Runs the generated float kernel; above :data:`CODEGEN_GATE_LIMIT`
+        the row is a one-row pass of the batch plan instead.
         """
         probs = self.slot_marginals(marginals)
         kernel = self._kernel("float")
         if kernel is not None:
             return float(kernel(probs))
-        kinds = self.kinds
-        offsets = self.offsets
-        indices = self.indices
-        var_slot = self.var_slot
-        values = [0.0] * self.size
-        for pos in range(self.size):
-            kind = kinds[pos]
-            if kind == K_VAR:
-                value = probs[var_slot[pos]]
-            elif kind == K_AND:
-                value = 1.0
-                for j in range(offsets[pos], offsets[pos + 1]):
-                    value *= values[indices[j]]
-            elif kind == K_OR:
-                value = 0.0
-                for j in range(offsets[pos], offsets[pos + 1]):
-                    value += values[indices[j]]
-            elif kind == K_NOT:
-                value = 1.0 - values[indices[offsets[pos]]]
-            else:
-                value = float(kind)  # K_TRUE == 1, K_FALSE == 0
-            values[pos] = value
-        return values[self.output]
+        row = np.asarray(probs, dtype=np.float64).reshape(1, len(self.var_names))
+        return float(self._batch_pass(row, True)[0])
 
     def probability_batch(self, marginals_batch) -> list[float]:
         """The d-D probability pass of :meth:`probability`, over many rows.
@@ -1353,38 +1271,32 @@ class CompiledCircuit:
         ``marginals_batch`` is an iterable of marginal assignments as
         accepted by :meth:`probability` (event spaces, mappings, slot
         sequences), or a ``(n_rows, n_vars)`` float matrix in slot order.
-        With numpy available all rows share one level-scheduled float pass
-        (grouped ``np.multiply.reduce`` at AND, ``np.add.reduce`` at OR),
-        row-sharded across worker processes for big batches when the
-        ``parallel_workers`` knob is set; otherwise each row costs one
-        scalar :meth:`probability` call. Like
-        :meth:`probability`, correct only on deterministic decomposable
-        circuits over independent variables.
+        All rows share one level-scheduled float pass (grouped
+        ``np.multiply.reduce`` at AND, ``np.add.reduce`` at OR), row-sharded
+        across worker processes for big batches when the
+        ``parallel_workers`` knob is set. Like :meth:`probability`, correct
+        only on deterministic decomposable circuits over independent
+        variables.
         """
-        if _np is None:
-            results = [float(self.probability(row)) for row in marginals_batch]
-            _BATCH_STATS["probability_passes"] += 1
-            _BATCH_STATS["probability_rows"] += len(results)
-            return results
         n_vars = len(self.var_names)
-        if isinstance(marginals_batch, _np.ndarray) and marginals_batch.ndim == 2:
+        if isinstance(marginals_batch, np.ndarray) and marginals_batch.ndim == 2:
             check(
                 marginals_batch.shape[1] == n_vars,
                 f"marginal matrix has {marginals_batch.shape[1]} columns for "
                 f"{n_vars} variables",
             )
-            matrix = marginals_batch.astype(_np.float64, copy=False)
+            matrix = marginals_batch.astype(np.float64, copy=False)
         else:
             rows = [tuple(self.slot_marginals(row)) for row in marginals_batch]
             if not rows:
                 return []
-            matrix = _np.asarray(rows, dtype=_np.float64)
+            matrix = np.asarray(rows, dtype=np.float64)
         _BATCH_STATS["probability_passes"] += 1
         _BATCH_STATS["probability_rows"] += matrix.shape[0]
         sharded = self._maybe_sharded(matrix, as_float=True)
         if sharded is not None:
             return sharded.tolist()
-        out = _np.empty(matrix.shape[0], dtype=_np.float64)
+        out = np.empty(matrix.shape[0], dtype=np.float64)
         self.batch_plan().run_into(matrix, out, as_float=True)
         return out.tolist()
 
@@ -1393,11 +1305,9 @@ class CompiledCircuit:
     ) -> float:
         """Exact probability by enumerating all variable valuations.
 
-        With numpy available the ``2^n`` worlds are unpacked from bitmask
-        ranges into world matrices and evaluated through the batch kernels,
-        chunk by chunk; otherwise a reusable slot array iterates the masks
-        one kernel call at a time — no per-world dict allocation either
-        way. Exponential; capped at ``max_vars`` (default
+        The ``2^n`` worlds are unpacked from bitmask ranges into world
+        matrices and evaluated through the batch kernels, chunk by chunk.
+        Exponential; capped at ``max_vars`` (default
         :data:`ENUMERATION_VARIABLE_CAP`) variables.
         """
         n = len(self.var_names)
@@ -1407,44 +1317,19 @@ class CompiledCircuit:
                 f"(circuit has {n}; 2^{n} worlds); use the 'shannon' or "
                 "'message_passing' engine instead"
             )
-        probs = self.slot_marginals(marginals)
-        if _np is not None:
-            return self._enumerate_batched(probs, n)
-        slot_values = [0] * n
-        kernel = self._kernel("bool")
-        buffer = None if kernel is not None else bytearray(self.size)
-        total = 0.0
-        for mask in range(1 << n):
-            for i in range(n):
-                slot_values[i] = (mask >> i) & 1
-            satisfied = (
-                kernel(slot_values)
-                if kernel is not None
-                else self._evaluate_into(buffer, slot_values)
-            )
-            if satisfied:
-                weight = 1.0
-                for i in range(n):
-                    p = probs[i]
-                    weight *= p if slot_values[i] else 1.0 - p
-                total += weight
-        return total
-
-    def _enumerate_batched(self, probs, n: int) -> float:
-        """Enumeration oracle over the numpy batch kernels, chunked."""
-        probs = _np.asarray(probs, dtype=_np.float64)
+        probs = np.asarray(self.slot_marginals(marginals), dtype=np.float64)
         world_count = 1 << n
         step = max(1, min(world_count, self._batch_chunk(as_float=False)))
-        bits = _np.arange(n, dtype=_np.uint64)
+        bits = np.arange(n, dtype=np.uint64)
         total = 0.0
         for start in range(0, world_count, step):
-            masks = _np.arange(
-                start, min(start + step, world_count), dtype=_np.uint64
+            masks = np.arange(
+                start, min(start + step, world_count), dtype=np.uint64
             )
-            worlds = ((masks[:, None] >> bits) & 1).astype(_np.bool_)
+            worlds = ((masks[:, None] >> bits) & 1).astype(np.bool_)
             satisfied = self._batch_pass(worlds, False)
             if satisfied.any():
-                weights = _np.where(worlds[satisfied], probs, 1.0 - probs)
+                weights = np.where(worlds[satisfied], probs, 1.0 - probs)
                 total += float(weights.prod(axis=1).sum())
         return total
 
@@ -1602,9 +1487,9 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
     add_offsets: list[int] = []
     add_var_slot: list[int] = []
     new_names: list[str] = []
-    prev_np = prev._np32
+    prev_arrays = prev._np32
     running = (
-        int(prev_np[1][-1]) if prev_np is not None else prev.offsets[-1]
+        int(prev_arrays[1][-1]) if prev_arrays is not None else prev.offsets[-1]
     )
     has_negation = prev.has_negation
     n_old_vars = len(prev.var_names)
@@ -1639,13 +1524,13 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
     compiled._init_lazy()
     compiled.source = circuit
     compiled.size = old_n + len(dirty)
-    if _np is not None and prev_np is not None:
-        old_kinds32, old_offsets32, old_indices32, old_var32 = prev_np
+    if prev_arrays is not None:
+        old_kinds32, old_offsets32, old_indices32, old_var32 = prev_arrays
         compiled._np32 = (
-            _np.concatenate([old_kinds32, _np.asarray(add_kinds, _np.int32)]),
-            _np.concatenate([old_offsets32, _np.asarray(add_offsets, _np.int32)]),
-            _np.concatenate([old_indices32, _np.asarray(add_indices, _np.int32)]),
-            _np.concatenate([old_var32, _np.asarray(add_var_slot, _np.int32)]),
+            np.concatenate([old_kinds32, np.asarray(add_kinds, np.int32)]),
+            np.concatenate([old_offsets32, np.asarray(add_offsets, np.int32)]),
+            np.concatenate([old_indices32, np.asarray(add_indices, np.int32)]),
+            np.concatenate([old_var32, np.asarray(add_var_slot, np.int32)]),
         )
         # Lists stay lazy: the surviving prefix is only re-materialized if
         # a scalar consumer asks, keeping the patch O(|delta|).

@@ -19,11 +19,11 @@ sampling back-ends, vectorized kernels) plug in without touching consumers.
 ``repro.circuits.dd`` re-export the historical entry points as thin wrappers
 over this layer.
 
-Orthogonal to the engine choice is the **execution backend** the batch
-entry points run on: scalar generated kernels (always), level-scheduled
-numpy kernels (when numpy imports), and the sharded multi-process pool of
-:mod:`repro.circuits.parallel` (when the ``parallel_workers`` knob — re-
-exported here alongside :func:`capabilities` — is set to two or more).
+Orthogonal to the engine choice is the **execution backend**: generated
+scalar kernels for single rows, level-scheduled numpy kernels for batches,
+and the sharded multi-process pool of :mod:`repro.circuits.parallel` (when
+the ``parallel_workers`` knob — re-exported here alongside
+:func:`capabilities` — is set to two or more).
 Engines pick *what* to compute; the backend stack picks *how fast*; see
 ``ARCHITECTURE.md`` for the full lowering pipeline.
 """
@@ -48,7 +48,6 @@ from repro.circuits.compiled import (
 from repro.circuits.compiled import (  # noqa: F401 - re-exported knobs
     batch_stats,
     compile_stats,
-    numpy_available,
     recompile,
     reset_batch_stats,
     reset_compile_stats,
@@ -102,10 +101,9 @@ Engine = Callable[..., float]
 def capabilities() -> dict:
     """Execution capabilities of this install, for CLI/test introspection.
 
-    Reports whether the numpy batch kernels and the sharded multi-process
-    backend are importable, the engine and instance-backend knobs, the
-    ``parallel_workers`` and ``distributed_hosts`` knobs, whether worker
-    authentication is armed, the full plan-cache state, the CQA engine's
+    Reports whether the sharded multi-process backend can run, the engine
+    and instance-backend knobs, the ``parallel_workers`` and
+    ``distributed_hosts`` knobs, whether worker authentication is armed, the full plan-cache state, the CQA engine's
     trichotomy classes and routing counters, a snapshot of the persistent
     host pool's counters, and the visible CPU count — one call reports the
     whole configuration (engines are listed by :func:`available_engines`).
@@ -114,7 +112,6 @@ def capabilities() -> dict:
     from repro.instances.columnar import instance_backend
 
     return {
-        "numpy": numpy_available(),
         "engine": default_engine(),
         "forced_engine": forced_engine(),
         "instance_backend": instance_backend(),

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.circuits import Circuit, CompiledCircuit, compile_circuit, probability
 from repro.circuits.circuit import K_AND, K_OR
 from repro.core.cq_automaton import automaton_for
@@ -313,7 +315,7 @@ def _witness_rows(query, instance):
     names in first-occurrence row-major order, the flattened witness matrix
     as indices into ``names`` (row-major, ``width`` entries per row), the
     number of atoms, and the number of homomorphisms. On a columnar
-    instance (with numpy) the witness matrix comes straight out of the
+    instance the witness matrix comes straight out of the
     vectorized join — no ``Fact`` objects are materialized; the object
     backend enumerates the backtracking search's witnesses. Both produce
     the identical sequence, so the circuits built from them are
@@ -323,26 +325,22 @@ def _witness_rows(query, instance):
 
     width = len(query.atoms)
     if isinstance(instance, ColumnarInstance):
-        from repro.queries.vectorized import evaluate_cq, vectorized_available
+        from repro.queries.vectorized import evaluate_cq
 
-        if vectorized_available():
-            from repro.instances.columnar import columnar_numpy
-
-            np = columnar_numpy()
-            result = evaluate_cq(query, instance)
-            if result.n_rows == 0:
-                return [], [], width, 0
-            flat = result.witnesses.ravel()  # row-major
-            uniq, first_at, inverse = np.unique(
-                flat, return_index=True, return_inverse=True
-            )
-            # np.unique sorts by fact id; re-rank to first-occurrence order
-            # so variable creation order matches the object path.
-            order = np.argsort(first_at)
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[order] = np.arange(len(order), dtype=np.int64)
-            names = instance.variable_names_for(uniq[order])
-            return names, rank[inverse], width, result.n_rows
+        result = evaluate_cq(query, instance)
+        if result.n_rows == 0:
+            return [], [], width, 0
+        flat = result.witnesses.ravel()  # row-major
+        uniq, first_at, inverse = np.unique(
+            flat, return_index=True, return_inverse=True
+        )
+        # np.unique sorts by fact id; re-rank to first-occurrence order
+        # so variable creation order matches the object path.
+        order = np.argsort(first_at)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order), dtype=np.int64)
+        names = instance.variable_names_for(uniq[order])
+        return names, rank[inverse], width, result.n_rows
     index_of: dict[str, int] = {}
     names: list[str] = []
     flat_indices: list[int] = []
@@ -374,9 +372,6 @@ def _append_witness_dnf(circuit: Circuit, query, instance) -> tuple[int, int]:
     if isinstance(flat_indices, list):
         inputs = [var_gates[i] for i in flat_indices]
     else:
-        from repro.instances.columnar import columnar_numpy
-
-        np = columnar_numpy()
         inputs = np.frombuffer(var_gates, dtype=np.int32).astype(np.int64)[
             flat_indices
         ]

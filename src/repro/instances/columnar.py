@@ -15,10 +15,9 @@ evaluation never touch per-fact Python objects: generators append encoded
 column batches, the join planner reads the raw columns, and the provenance
 builder turns witness fact ids straight into circuit leaves.
 
-Columns are stored as stdlib ``array("i")`` buffers so the backend works
-without numpy; when numpy is importable the vectorized paths reinterpret
-the same buffers zero-copy via ``np.frombuffer`` (the trick the compiled
-lowering uses).
+Columns are stored as stdlib ``array("i")`` buffers, which grow by cheap
+appends; the vectorized paths reinterpret the same buffers zero-copy via
+``np.frombuffer`` (the trick the compiled lowering uses).
 
 The module also owns the backend knob: ``REPRO_INSTANCE_BACKEND`` (or
 :func:`set_instance_backend`) selects which backend
@@ -32,6 +31,8 @@ import os
 from array import array
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.instances.base import (
     AbstractInstance,
     Constant,
@@ -40,17 +41,6 @@ from repro.instances.base import (
     variable_name_of,
 )
 from repro.util import ReproError, check
-
-try:  # capability check: vectorized bulk loads and joins need numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
-
-def columnar_numpy():
-    """The numpy module the columnar paths use, or ``None`` without numpy."""
-    return _np
-
 
 # Codes are int32, so a pair of codes packs collision-free into an int64.
 _PACK = 1 << 31
@@ -65,14 +55,14 @@ def _pack_rows(columns: Sequence, length: int):
     (exact in int64); the fold matches :meth:`ColumnarInstance.add_fact`
     exactly so bulk and single-fact inserts share one dedup index. Arities
     above 2 overflow int64 under this fold, so they take the unbounded
-    Python-int path regardless of numpy.
+    Python-int path.
     """
-    if _np is not None and len(columns) <= 2:
+    if len(columns) <= 2:
         if not columns:
-            return _np.zeros(length, dtype=_np.int64)
-        key = _np.asarray(columns[0], dtype=_np.int64)
+            return np.zeros(length, dtype=np.int64)
+        key = np.asarray(columns[0], dtype=np.int64)
         for col in columns[1:]:
-            key = key * _PACK + _np.asarray(col, dtype=_np.int64)
+            key = key * _PACK + np.asarray(col, dtype=np.int64)
         return key
     if not columns:
         return [0] * length
@@ -338,7 +328,7 @@ class ColumnarInstance(AbstractInstance):
         Follows :attr:`repro.instances.base.Fact.variable_name` exactly, so
         both backends agree on every leaf of every lineage circuit.
         """
-        if _np is not None and isinstance(fids, _np.ndarray):
+        if isinstance(fids, np.ndarray):
             return self._variable_names_bulk(fids)
         names = []
         rel_names = self._rel_names
@@ -376,12 +366,12 @@ class ColumnarInstance(AbstractInstance):
         n = fids.size
         if n == 0:
             return []
-        order = _np.argsort(fids, kind="stable")
+        order = np.argsort(fids, kind="stable")
         sorted_fids = fids[order]
-        rel_ids = _np.frombuffer(self._fid_rel, dtype=_np.int32)[sorted_fids]
-        rows = _np.frombuffer(self._fid_row, dtype=_np.int32)[sorted_fids]
+        rel_ids = np.frombuffer(self._fid_rel, dtype=np.int32)[sorted_fids]
+        rows = np.frombuffer(self._fid_row, dtype=np.int32)[sorted_fids]
         strs = self._code_strs()
-        run_starts = [0, *(_np.flatnonzero(_np.diff(rel_ids)) + 1).tolist(), n]
+        run_starts = [0, *(np.flatnonzero(np.diff(rel_ids)) + 1).tolist(), n]
         if len(run_starts) - 2 > max(8, n >> 3):
             # Heavily interleaved fid space (per-fact add path): the run
             # machinery would pay per-run numpy overhead ~per fact.
@@ -404,7 +394,7 @@ class ColumnarInstance(AbstractInstance):
             rel = self._rels[relation]
             run_rows = rows[start:stop]
             cols = [
-                _np.frombuffer(col, dtype=_np.int32)[run_rows].tolist()
+                np.frombuffer(col, dtype=np.int32)[run_rows].tolist()
                 for col in rel.columns
             ]
             if rel.arity == 1:
@@ -419,7 +409,7 @@ class ColumnarInstance(AbstractInstance):
                     f"f:{relation}({','.join([strs[c] for c in row])})"
                     for row in zip(*cols)
                 ]
-        out = _np.empty(n, dtype=object)
+        out = np.empty(n, dtype=object)
         out[order] = names
         return out.tolist()
 
@@ -434,25 +424,25 @@ class ColumnarInstance(AbstractInstance):
         dictionary (:meth:`intern`, :meth:`intern_int_range`,
         :meth:`intern_values`). Set semantics match :meth:`add`: duplicate
         rows — within the batch or against existing rows — map to the
-        first occurrence's fact id. Returns an int array (numpy when
-        available) aligned with the input rows.
+        first occurrence's fact id. Returns an int array aligned with the
+        input rows (numpy up to arity 2, ``array("i")`` above).
         """
         lengths = {len(c) for c in columns}
         check(len(lengths) <= 1, "encoded columns must have equal lengths")
         length = lengths.pop() if lengths else 0
         rel = self._rel_columns(relation, len(columns))
         if length == 0:
-            return _np.zeros(0, dtype=_np.int64) if _np is not None else array("i")
+            return np.zeros(0, dtype=np.int64)
         keys = _pack_rows(columns, length)
         base_fid = len(self._fid_rel)
         base_row = len(rel.fact_ids)
-        if _np is not None and len(columns) <= 2:
-            uniq_keys, first_index = _np.unique(keys, return_index=True)
+        if len(columns) <= 2:
+            uniq_keys, first_index = np.unique(keys, return_index=True)
             fresh = first_index
             if base_row:
                 index = rel._key_to_fid
                 if index is not None:
-                    known = _np.fromiter(
+                    known = np.fromiter(
                         (k in index for k in uniq_keys.tolist()),
                         dtype=bool,
                         count=len(uniq_keys),
@@ -460,16 +450,16 @@ class ColumnarInstance(AbstractInstance):
                 else:
                     # Index not built: dedup against the existing rows'
                     # packed keys directly, keeping the load dict-free.
-                    known = _np.isin(
+                    known = np.isin(
                         uniq_keys, _pack_rows(rel.columns, base_row)
                     )
                 fresh = first_index[~known]
-            keep = _np.sort(fresh)  # batch-insertion order
-            new_fids = base_fid + _np.arange(len(keep), dtype=_np.int64)
+            keep = np.sort(fresh)  # batch-insertion order
+            new_fids = base_fid + np.arange(len(keep), dtype=np.int64)
             for col, values in zip(rel.columns, columns):
-                kept = _np.asarray(values, dtype=_np.int64)[keep]
-                col.frombytes(kept.astype(_np.int32).tobytes())
-            rel.fact_ids.frombytes(new_fids.astype(_np.int32).tobytes())
+                kept = np.asarray(values, dtype=np.int64)[keep]
+                col.frombytes(kept.astype(np.int32).tobytes())
+            rel.fact_ids.frombytes(new_fids.astype(np.int32).tobytes())
             index = rel._key_to_fid
             if index:
                 # A built (non-empty) index stays coherent incrementally.
@@ -479,20 +469,20 @@ class ColumnarInstance(AbstractInstance):
                 # the first keyed lookup instead of paying it per load.
                 rel._key_to_fid = None
             self._fid_rel.frombytes(
-                _np.full(len(keep), self._rel_index[relation], dtype=_np.int32)
+                np.full(len(keep), self._rel_index[relation], dtype=np.int32)
                 .tobytes()
             )
             self._fid_row.frombytes(
-                (base_row + _np.arange(len(keep), dtype=_np.int32)).tobytes()
+                (base_row + np.arange(len(keep), dtype=np.int32)).tobytes()
             )
             if len(keep) == length:
                 return new_fids  # all rows fresh and unique: the common case
-            return _np.fromiter(
+            return np.fromiter(
                 (rel.key_to_fid[k] for k in keys.tolist()),
-                dtype=_np.int64,
+                dtype=np.int64,
                 count=length,
             )
-        # Python fallback: same semantics, scalar loop.
+        # Arity > 2: python-int keys, same semantics, scalar loop.
         fids = array("i")
         key_to_fid = rel.key_to_fid
         for i in range(length):
@@ -512,9 +502,7 @@ class ColumnarInstance(AbstractInstance):
     def intern_values(self, values: Iterable[Constant]):
         """Intern arbitrary constants; returns their codes as an int array."""
         codes = array("i", (self.intern(v) for v in values))
-        if _np is not None:
-            return _np.frombuffer(codes, dtype=_np.int32).copy()
-        return codes
+        return np.frombuffer(codes, dtype=np.int32).copy()
 
     # ------------------------------------------------------------------ #
     # derived structure, column-native
@@ -523,25 +511,15 @@ class ColumnarInstance(AbstractInstance):
         out = {}
         for name in self._rel_names:
             rel = self._rels[name]
-            if _np is not None:
-                merged = (
-                    _np.unique(
-                        _np.concatenate(
-                            [
-                                _np.frombuffer(col, dtype=_np.int32)
-                                for col in rel.columns
-                            ]
-                        )
-                    ).tolist()
-                    if rel.columns and len(rel.fact_ids)
-                    else []
-                )
-            else:
-                seen: set[int] = set()
-                for col in rel.columns:
-                    seen.update(col)
-                merged = sorted(seen)
-            out[name] = merged
+            out[name] = (
+                np.unique(
+                    np.concatenate(
+                        [np.frombuffer(col, dtype=np.int32) for col in rel.columns]
+                    )
+                ).tolist()
+                if rel.columns and len(rel.fact_ids)
+                else []
+            )
         return out
 
     def domain(self) -> frozenset[Constant]:
@@ -565,17 +543,13 @@ class ColumnarInstance(AbstractInstance):
                 continue
             for i in range(rel.arity):
                 for j in range(i + 1, rel.arity):
-                    a_col, b_col = rel.columns[i], rel.columns[j]
-                    if _np is not None:
-                        a = _np.frombuffer(a_col, dtype=_np.int32).astype(_np.int64)
-                        b = _np.frombuffer(b_col, dtype=_np.int32).astype(_np.int64)
-                        packed = _np.unique(a * _PACK + b)
-                        pairs = [
-                            (int(p) >> 31, int(p) & (_PACK - 1))
-                            for p in packed.tolist()
-                        ]
-                    else:
-                        pairs = sorted({(x, y) for x, y in zip(a_col, b_col)})
+                    a = np.frombuffer(rel.columns[i], dtype=np.int32)
+                    b = np.frombuffer(rel.columns[j], dtype=np.int32)
+                    packed = np.unique(a.astype(np.int64) * _PACK + b)
+                    pairs = [
+                        (int(p) >> 31, int(p) & (_PACK - 1))
+                        for p in packed.tolist()
+                    ]
                     for x, y in pairs:
                         if x != y:
                             graph.add_edge(decode(x), decode(y))

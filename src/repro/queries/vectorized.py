@@ -13,22 +13,15 @@ order the object backend's backtracking search
 — left rows in order, right matches in fact-insertion order (a stable
 argsort groups equal keys by original row index). The provenance builder
 relies on this to produce bit-identical circuits from either backend.
-
-Everything here requires numpy; callers dispatch through
-:func:`vectorized_available` and fall back to backtracking over
-materialized facts otherwise.
 """
 
 from __future__ import annotations
 
-from repro.instances.columnar import ColumnarInstance, columnar_numpy
+import numpy as np
+
+from repro.instances.columnar import ColumnarInstance
 
 _PACK = 1 << 31
-
-
-def vectorized_available() -> bool:
-    """Whether the vectorized join pipeline can run (numpy importable)."""
-    return columnar_numpy() is not None
 
 
 class JoinResult:
@@ -139,7 +132,6 @@ def evaluate_cq(query, instance: ColumnarInstance) -> JoinResult:
     """
     from repro.queries.cq import Variable, _atom_order_indices
 
-    np = columnar_numpy()
     order = _atom_order_indices(query.atoms)
 
     state_cols: dict = {}  # Variable -> int64 code column

@@ -1,12 +1,12 @@
 """A minimal asyncio HTTP/1.1 binding for :class:`QueryService`.
 
-Stdlib only, on purpose: the service must run on a bare install, the same
-constraint the rest of the repo honours (numpy optional, nothing else
-assumed). It implements exactly what the service needs — JSON request and
-response bodies framed by ``Content-Length``, keep-alive connections,
-``Transfer-Encoding: chunked`` for the streaming endpoints, and a
-reader-side EOF watch so a client hanging up mid-stream cancels its
-Monte-Carlo run promptly instead of computing into a dead socket.
+Stdlib only, on purpose: the HTTP layer adds no dependency beyond the
+package's own (numpy and networkx). It implements exactly what the
+service needs — JSON request and response bodies framed by
+``Content-Length``, keep-alive connections, ``Transfer-Encoding: chunked``
+for the streaming endpoints, and a reader-side EOF watch so a client
+hanging up mid-stream cancels its Monte-Carlo run promptly instead of
+computing into a dead socket.
 
 A richer ASGI binding (FastAPI/uvicorn) can front the same
 :class:`~repro.service.app.QueryService` later, gated behind a capability

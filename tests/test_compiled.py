@@ -224,18 +224,17 @@ def test_vectorized_lowering_matches_python_lowering(seed):
     per-gate python lowering are indistinguishable."""
     from repro.circuits import compiled as compiled_module
 
-    pytest.importorskip("numpy")
     c = random_circuit(seed, n_vars=12, steps=700)
     while len(c) < compiled_module.VECTOR_MIN_GATES:
         c.set_output(c.or_gate([c.output, c.variable(f"pad{len(c)}")]))
     vectorized = CompiledCircuit(c)
     assert vectorized._np32 is not None  # the vector path actually ran
-    saved = compiled_module._np
-    try:
-        compiled_module._np = None
-        scalar = CompiledCircuit(c)
-    finally:
-        compiled_module._np = saved
+    scalar = CompiledCircuit.__new__(CompiledCircuit)
+    scalar._init_lazy()
+    scalar._lower_python(c)
+    scalar._levels = compiled_module._levels_python(
+        scalar.kinds, scalar.offsets, scalar.indices
+    )
     assert vectorized.kinds == scalar.kinds
     assert vectorized.offsets == scalar.offsets
     assert vectorized.indices == scalar.indices

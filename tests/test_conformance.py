@@ -1,12 +1,12 @@
 """Cross-engine conformance matrix: one scenario corpus, every execution path.
 
 The pipeline promises that *where* a batch executes never changes *what* it
-computes: the scalar generated kernels, the array interpreter, the
-level-scheduled numpy kernels, the multi-process shared-memory pool, and
-the distributed TCP workers must all agree on every circuit shape we
-support — including negation, shared subcircuits, and the empty/singleton
-degenerate worlds that per-path test files historically each re-asserted in
-their own ad-hoc way. This module replaces those scattered agreement
+computes: the scalar generated kernels, single rows above the codegen
+limit, the level-scheduled numpy kernels, the multi-process shared-memory
+pool, and the distributed TCP workers must all agree on every circuit
+shape we support — including negation, shared subcircuits, and the
+empty/singleton degenerate worlds that per-path test files historically
+each re-asserted in their own ad-hoc way. This module replaces those scattered agreement
 asserts with one parametrized matrix:
 
     scenario corpus  ×  plan producer  ×  {scalar, interpreter, numpy-batch,
@@ -26,10 +26,12 @@ differently from the vectorized ones, so cross-backend rows use a 1e-12
 tolerance while the vectorized tiers (numpy / pool / wire) are compared
 bit-for-bit.
 
-The multiprocess and distributed columns need numpy (and the distributed
-ones real sockets, hence the ``distributed`` marker); the scalar columns run
-everywhere, so the numpy-free CI job still covers the corpus. The
-``persistent-pool`` column repeats its passes over the warm
+The ``scalar-kernel`` column runs every row through the generated kernels
+of a fresh lowering; the ``interpreter`` column is the route above
+:data:`~repro.circuits.compiled.CODEGEN_GATE_LIMIT`, where no kernel is
+generated and each row is a one-row pass of the batch-plan interpreter.
+The distributed columns need real sockets, hence the ``distributed``
+marker. The ``persistent-pool`` column repeats its passes over the warm
 :class:`~repro.circuits.distributed.HostPool` and additionally asserts the
 second round reused the connection and skipped the plan transfer.
 """
@@ -37,6 +39,7 @@ second round reused the connection and skipped the plan transfer.
 import math
 import tempfile
 
+import numpy as np
 import pytest
 
 from repro.circuits import Circuit, compile_circuit, recompile
@@ -242,29 +245,29 @@ def scenario_fixture_data(name, producer="fresh"):
 # --------------------------------------------------------------------------- #
 # execution paths: each returns (bool results, float results)
 
-def _path_scalar_kernel(compiled, worlds, marginal_rows, monkeypatch, _worker):
-    monkeypatch.setattr(compiled_module, "_np", None)
-    evaluated = compiled.evaluate_batch(worlds)
-    probabilities = compiled.probability_batch(marginal_rows)
-    return [bool(v) for v in evaluated], probabilities
+def _per_row(compiled, worlds, marginal_rows):
+    evaluated = [compiled.evaluate(w) for w in worlds]
+    probabilities = [compiled.probability(row) for row in marginal_rows]
+    return evaluated, probabilities
+
+def _path_scalar_kernel(compiled, worlds, marginal_rows, _monkeypatch, _worker):
+    fresh = compiled_module.CompiledCircuit(compiled.source)  # uncached kernels
+    assert fresh._kernel("bool") is not None
+    return _per_row(fresh, worlds, marginal_rows)
 
 def _path_interpreter(compiled, worlds, marginal_rows, monkeypatch, _worker):
-    monkeypatch.setattr(compiled_module, "_np", None)
     monkeypatch.setattr(compiled_module, "CODEGEN_GATE_LIMIT", 0)
     fresh = compiled_module.CompiledCircuit(compiled.source)  # uncached kernels
-    evaluated = fresh.evaluate_batch(worlds)
-    probabilities = fresh.probability_batch(marginal_rows)
-    return [bool(v) for v in evaluated], probabilities
+    assert fresh._kernel("bool") is None  # above the limit: one-row plan passes
+    return _per_row(fresh, worlds, marginal_rows)
 
 def _path_numpy_batch(compiled, worlds, marginal_rows, _monkeypatch, _worker):
-    pytest.importorskip("numpy")
     return (
         compiled.evaluate_batch(worlds),
         compiled.probability_batch(marginal_rows),
     )
 
 def _path_multiprocess(compiled, worlds, marginal_rows, _monkeypatch, _worker):
-    np = pytest.importorskip("numpy")
     if not parallel.parallel_available():
         pytest.skip("shared memory unavailable")
     n = len(compiled.variables())
@@ -279,7 +282,6 @@ def _path_multiprocess(compiled, worlds, marginal_rows, _monkeypatch, _worker):
     return evaluated.tolist(), probabilities.tolist()
 
 def _path_distributed(compiled, worlds, marginal_rows, _monkeypatch, worker):
-    np = pytest.importorskip("numpy")
     n = len(compiled.variables())
     world_matrix = np.asarray(worlds, dtype=np.bool_).reshape(len(worlds), n)
     marginal_matrix = np.asarray(marginal_rows, dtype=np.float64).reshape(
@@ -303,7 +305,6 @@ def _path_persistent_pool(compiled, worlds, marginal_rows, _monkeypatch, worker)
     (the digest handshake), while returning exactly the first round's —
     and every other tier's — values.
     """
-    np = pytest.importorskip("numpy")
     n = len(compiled.variables())
     world_matrix = np.asarray(worlds, dtype=np.bool_).reshape(len(worlds), n)
     marginal_matrix = np.asarray(marginal_rows, dtype=np.float64).reshape(
@@ -343,10 +344,8 @@ PATHS = {
 
 
 def _reference(compiled, worlds, marginal_rows):
-    """The per-world scalar oracle every path is held to."""
-    evaluated = [compiled.evaluate(w) for w in worlds]
-    probabilities = [compiled.probability(row) for row in marginal_rows]
-    return evaluated, probabilities
+    """The per-world generated-kernel oracle every path is held to."""
+    return _per_row(compiled, worlds, marginal_rows)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -386,13 +385,11 @@ def test_path_agrees_with_scalar_oracle(
 @pytest.mark.parametrize("producer", sorted(PRODUCERS))
 def test_vectorized_tiers_agree_bitwise(scenario, producer, request):
     """numpy / pool / wire run the same kernels: equality, no tolerance."""
-    pytest.importorskip("numpy")
     compiled, worlds, marginal_rows = scenario_fixture_data(scenario, producer)
     base_eval, base_probs = _path_numpy_batch(
         compiled, worlds, marginal_rows, None, None
     )
     if parallel.parallel_available():
-        np = pytest.importorskip("numpy")
         n = len(compiled.variables())
         world_matrix = np.asarray(worlds, dtype=np.bool_).reshape(len(worlds), n)
         for workers in (0, 1, 2, 4):

@@ -5,8 +5,7 @@ Four layers, matching :mod:`repro.circuits.distributed`:
 - the **wire format** — property-tested round trips (random circuits →
   serialize → deserialize → identical batch results), and rejection of
   corrupted, truncated, wrong-magic, wrong-version and
-  inconsistent-schedule payloads. These tests need no sockets and no
-  numpy, so they run everywhere;
+  inconsistent-schedule payloads. These tests need no sockets;
 - the **routing knobs** — env parsing, scoping, per-call overrides, and
   the shared-secret knob;
 - the **coordinator/worker protocol** — real localhost worker
@@ -29,6 +28,7 @@ deselect them.
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,11 +55,6 @@ def random_circuit(seed: int, n_vars: int = 6, steps: int = 16) -> Circuit:
 
 def all_worlds(n_vars: int) -> list[list[int]]:
     return [[(mask >> i) & 1 for i in range(n_vars)] for mask in range(1 << n_vars)]
-
-
-@pytest.fixture
-def no_numpy(monkeypatch):
-    monkeypatch.setattr(compiled_module, "_np", None)
 
 
 # --------------------------------------------------------------------------- #
@@ -91,25 +86,22 @@ class TestWireFormat:
         assert compiled.wire_bytes() is compiled.wire_bytes()
         assert distributed.plan_to_bytes(compiled) is compiled.wire_bytes()
 
-    def test_round_trip_without_numpy(self, no_numpy):
-        compiled = compile_circuit(random_circuit(9))
-        blob = distributed.plan_to_bytes(compiled)
-        plan = distributed.plan_from_bytes(blob)
-        assert plan.kinds == list(compiled.kinds)
-        worlds = all_worlds(len(compiled.variables()))
-        assert plan.run_rows(worlds, as_float=False) == [
-            bool(v) for v in compiled.evaluate_batch(worlds)
-        ]
-
-    def test_cross_backend_payloads_are_identical(self, monkeypatch):
-        """numpy and pure-python packing produce byte-identical plans."""
-        pytest.importorskip("numpy")
-        with_numpy = distributed.plan_to_bytes(compile_circuit(random_circuit(13)))
-        monkeypatch.setattr(compiled_module, "_np", None)
-        without_numpy = distributed.plan_to_bytes(
-            compile_circuit(random_circuit(13))
+    def test_cross_backend_payloads_are_identical(self):
+        """The python and the vectorized lowering pack byte-identical plans."""
+        c = random_circuit(13, n_vars=12, steps=700)
+        while len(c) < compiled_module.VECTOR_MIN_GATES:
+            c.set_output(c.or_gate([c.output, c.variable(f"pad{len(c)}")]))
+        vectorized = compiled_module.CompiledCircuit(c)
+        assert vectorized._np32 is not None  # the vector path actually ran
+        python = compiled_module.CompiledCircuit.__new__(
+            compiled_module.CompiledCircuit
         )
-        assert with_numpy == without_numpy
+        python._init_lazy()
+        python._lower_python(c)
+        assert python._np32 is None
+        assert distributed.plan_to_bytes(python) == distributed.plan_to_bytes(
+            vectorized
+        )
 
     def test_truncated_payload_rejected(self):
         blob = compile_circuit(random_circuit(3)).wire_bytes()
@@ -168,6 +160,35 @@ class TestWireFormat:
         )
         with pytest.raises(ReproError, match="level schedule"):
             distributed.plan_from_bytes(forged)
+
+    @pytest.mark.parametrize("pad", [0, compiled_module.VECTOR_MIN_GATES])
+    @pytest.mark.parametrize("fan_in", [0, 2])
+    def test_not_gate_fan_in_must_be_one(self, fan_in, pad):
+        """A NOT gate with zero or two inputs is rejected on the wire and
+        on the plan-cache route, by the python and the vectorized checks
+        alike (``pad`` lifts the plan past ``VECTOR_MIN_GATES``)."""
+        n_vars = 2 + pad
+        size = n_vars + 1
+        arrays = {
+            "kinds": [compiled_module.K_VAR] * n_vars + [compiled_module.K_NOT],
+            "offsets": [0] * (n_vars + 1) + [fan_in],
+            "indices": list(range(fan_in)),
+            "var_slot": list(range(n_vars)) + [-1],
+            "levels": [0] * n_vars + [1],
+        }
+        forged = distributed._pack_blob(
+            {"kind": "plan", "size": size, "output": size - 1, "n_vars": n_vars},
+            [(name, "i", values) for name, values in arrays.items()],
+        )
+        with pytest.raises(ReproError, match="NOT gate"):
+            distributed.plan_from_bytes(forged)
+        arena = Circuit()
+        arena.set_output(arena.variable("a"))
+        with pytest.raises(ReproError, match="NOT gate"):
+            compiled_module.CompiledCircuit._from_arrays(
+                arena, size=size, var_names=[f"v{i}" for i in range(n_vars)],
+                gate_ids=list(range(size)), output=size - 1, **arrays,
+            )
 
     def test_non_plan_payload_rejected(self):
         tables = distributed._tables_to_bytes([[1, 0]], 2, [0.5, 0.5], [0.5], 0.5)
@@ -233,7 +254,6 @@ class TestHostsKnob:
             assert not distributed.should_distribute(10**6)
 
     def test_no_hosts_defers_to_parallel_entry_points(self):
-        pytest.importorskip("numpy")
         compiled = compile_circuit(random_circuit(21))
         marginals = [0.3] * len(compiled.variables())
         with distributed.distributed_hosts_set(None):
@@ -247,10 +267,6 @@ class TestHostsKnob:
 
 @pytest.mark.distributed
 class TestDistributedExecution:
-    @pytest.fixture(autouse=True)
-    def _need_numpy(self):
-        pytest.importorskip("numpy")
-
     def test_monte_carlo_bit_identical_at_0_1_2_workers(
         self, worker_factory, monkeypatch
     ):
@@ -274,7 +290,6 @@ class TestDistributedExecution:
         ) == serial
 
     def test_karp_luby_bit_identical_across_hosts(self, worker_factory, monkeypatch):
-        np = pytest.importorskip("numpy")
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
         membership = np.array(
             [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=np.int32
@@ -290,7 +305,6 @@ class TestDistributedExecution:
         ) == serial
 
     def test_matrix_passes_bit_identical(self, module_worker):
-        np = pytest.importorskip("numpy")
         compiled = compile_circuit(random_circuit(33))
         n = len(compiled.variables())
         worlds = np.random.default_rng(0).random((500, n)) < 0.5
@@ -306,7 +320,6 @@ class TestDistributedExecution:
         ).tolist() == compiled.probability_batch(marginal_rows)
 
     def test_empty_batch(self, module_worker):
-        np = pytest.importorskip("numpy")
         compiled = compile_circuit(random_circuit(34))
         matrix = np.empty((0, len(compiled.variables())), dtype=bool)
         out = distributed.evaluate_batch_distributed(
@@ -315,7 +328,6 @@ class TestDistributedExecution:
         assert out.size == 0
 
     def test_evaluate_batch_routes_through_hosts_knob(self, module_worker):
-        np = pytest.importorskip("numpy")
         compiled = compile_circuit(random_circuit(35))
         n = len(compiled.variables())
         matrix = np.random.default_rng(2).random(
@@ -567,10 +579,6 @@ class TestStealQueue:
 
 @pytest.mark.distributed
 class TestPersistentRuntime:
-    @pytest.fixture(autouse=True)
-    def _need_numpy(self):
-        pytest.importorskip("numpy")
-
     def _mc(self, compiled, marginals, hosts, samples=700, seed=9):
         return distributed.monte_carlo_hits(
             compiled, marginals, samples, seed=seed, hosts=hosts
@@ -821,7 +829,6 @@ class TestPersistentRuntime:
     def test_matrix_pass_shards_finely_for_stealing(self, module_worker):
         """Matrix passes cut more shards than hosts so stealing has slack,
         without changing the merged rows."""
-        np = pytest.importorskip("numpy")
         compiled = compile_circuit(random_circuit(59))
         n = len(compiled.variables())
         worlds = np.random.default_rng(3).random((600, n)) < 0.5

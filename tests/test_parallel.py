@@ -13,12 +13,10 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.circuits import Circuit, compile_circuit
-from repro.circuits import compiled as compiled_module
 from repro.circuits import parallel
 from repro.util import ReproError, stable_rng
 
@@ -93,8 +91,8 @@ class TestKnob:
         with parallel.parallel_workers_set(1):
             assert not parallel.should_shard(10**6)
 
-    def test_unavailable_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(compiled_module, "_np", None)
+    def test_unavailable_without_shared_memory(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_shm", None)
         assert not parallel.parallel_available()
         assert parallel._effective_workers(4) == 0
         assert not parallel.should_shard(10**6, workers=4)
